@@ -3,7 +3,7 @@
 #   make build       compile everything
 #   make test        the seed tier-1 gate (build + tests)
 #   make race        full suite under the race detector
-#   make ci          what a PR must pass: build, vet, race tests, snapshot/
+#   make ci          what a PR must pass: build, gofmt, vet, race tests, snapshot/
 #                    crawler/epoch-equivalence fuzz corpora as seed tests,
 #                    resume byte-identity smoke (workers grid incl. 8,
 #                    under -race), the 16-worker timeline invariance smoke
@@ -22,6 +22,7 @@
 #                    (ns/op, allocs/op, pages/s) with BENCH_baseline.json
 #                    embedded for before/after comparison
 #   make fuzz        a short fuzzing session on the crawler heuristics
+#   make fmt-check   gofmt -l reports no file (fails on any output)
 #   make metrics-doc-check  every registered metric name appears in DESIGN.md
 #   make bench-overhead     crawl bench with metrics on vs off in one run;
 #                           fails if mean pages/s drops >3% or allocs/op grows
@@ -56,7 +57,7 @@ define BENCH_RUN
   $(GO) test -run xxx -bench BenchmarkDistSweep -benchmem -benchtime 1x ./internal/distsweep/ ; }
 endef
 
-.PHONY: build test race ci bench bench-json fuzz metrics-doc-check bench-overhead bench-compare
+.PHONY: build test race ci bench bench-json fuzz fmt-check metrics-doc-check bench-overhead bench-compare
 
 build:
 	$(GO) build ./...
@@ -67,7 +68,7 @@ test: build
 race:
 	$(GO) test -race ./...
 
-ci: build metrics-doc-check
+ci: build fmt-check metrics-doc-check
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/
@@ -80,6 +81,12 @@ ci: build metrics-doc-check
 	$(GO) test -run xxx -bench 'BenchmarkParallelCrawl$$/workers=8' -benchtime 1x ./internal/sim/
 	$(MAKE) bench-overhead
 	$(MAKE) bench-compare
+
+# gofmt must list no source file: any output fails the check.
+fmt-check:
+	@out=$$(gofmt -l *.go cmd examples internal perfbench); \
+	if [ -n "$$out" ]; then echo "fmt-check: gofmt -l lists:"; echo "$$out"; exit 1; fi; \
+	echo "fmt-check: gofmt clean"
 
 # Every metric name registered anywhere in the tree must be documented in
 # DESIGN.md's Observability inventory, so the docs can't silently rot.

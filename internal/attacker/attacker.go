@@ -309,8 +309,9 @@ func (c *Campaign) Breach(domain string, store *webgen.Store, when time.Time) {
 		at := c.align(x.Now().Add(delay))
 		x.AtKeyed(at, key, "crack "+domain, func(x *simclock.Exec) {
 			rng := xrand.New(xrand.Mix(c.cfg.Seed, int64(x.Seq()), streamCrack))
-			creds := c.cracker.Crack(dump)
-			provider := FilterByDomain(creds, c.provider.Domain())
+			// Only provider-domain credentials get stuffed, so only those
+			// entries are worth a dictionary sweep.
+			provider := c.cracker.Crack(FilterByDomain(dump, c.provider.Domain()))
 			if c.Metrics != nil {
 				c.Metrics.credsCracked.Add(uint64(len(provider)))
 			}

@@ -78,13 +78,14 @@ func TestCrackerHashSeparatesClasses(t *testing.T) {
 }
 
 func TestFilterByDomain(t *testing.T) {
-	creds := []Credential{
+	dump := []webgen.DumpEntry{
 		{Email: "a@bigmail.test"},
 		{Email: "b@Other.test"},
 		{Email: "c@BIGMAIL.TEST"},
+		{Email: "d@notbigmail.test"},
 	}
-	got := FilterByDomain(creds, "bigmail.test")
-	if len(got) != 2 {
+	got := FilterByDomain(dump, "BigMail.test")
+	if len(got) != 2 || got[0].Email != "a@bigmail.test" || got[1].Email != "c@BIGMAIL.TEST" {
 		t.Fatalf("filtered = %+v", got)
 	}
 }

@@ -56,10 +56,10 @@ type ProxyPool struct {
 // NewProxyPool returns a pool drawing from space.
 func NewProxyPool(space *geo.Space, seed int64, reuseProb float64) *ProxyPool {
 	return &ProxyPool{
-		space:    space,
-		seed:     seed,
-		rng:      rand.New(rand.NewSource(seed)),
-		distinct: make(map[netip.Addr]struct{}),
+		space:     space,
+		seed:      seed,
+		rng:       rand.New(rand.NewSource(seed)),
+		distinct:  make(map[netip.Addr]struct{}),
 		ReuseProb: reuseProb,
 	}
 }

@@ -46,15 +46,9 @@ func (bf *BruteForcer) HarvestUsernames(host string) []string {
 	return users
 }
 
-// candidates enumerates guesses in dictionary order.
+// candidates enumerates guesses in dictionary order, cut to the budget.
 func (bf *BruteForcer) candidates() []string {
-	out := make([]string, 0, len(bf.Words)*10)
-	for _, w := range bf.Words {
-		cap := strings.ToUpper(w[:1]) + w[1:]
-		for d := '0'; d <= '9'; d++ {
-			out = append(out, cap+string(d))
-		}
-	}
+	out := Candidates(bf.Words)
 	if bf.MaxGuessesPerAccount > 0 && len(out) > bf.MaxGuessesPerAccount {
 		out = out[:bf.MaxGuessesPerAccount]
 	}

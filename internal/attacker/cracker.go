@@ -8,7 +8,12 @@
 package attacker
 
 import (
+	"cmp"
+	"crypto/md5"
+	"crypto/sha256"
+	"encoding/hex"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -31,13 +36,18 @@ type Cracker struct {
 	Words []string
 	// Workers bounds cracking concurrency; 0 means GOMAXPROCS.
 	Workers int
+
+	once  sync.Once
+	cands []string                  // Candidates(Words)
+	weak  map[[md5.Size]byte]string // unsalted digest -> candidate
 }
 
-// candidates enumerates the dictionary-attack candidate passwords:
-// capitalized word + single digit, the dominant weak-password shape.
-func (c *Cracker) candidates() []string {
-	out := make([]string, 0, len(c.Words)*10)
-	for _, w := range c.Words {
+// Candidates enumerates the dictionary-attack candidate passwords in
+// guessing order: capitalized word + single digit, the dominant
+// weak-password shape.
+func Candidates(words []string) []string {
+	out := make([]string, 0, len(words)*10)
+	for _, w := range words {
 		cap := strings.ToUpper(w[:1]) + w[1:]
 		for d := '0'; d <= '9'; d++ {
 			out = append(out, cap+string(d))
@@ -46,15 +56,30 @@ func (c *Cracker) candidates() []string {
 	return out
 }
 
+// prepare builds the candidate list and, since unsalted hashes can be
+// precomputed, the candidate table for StoreWeakHash entries — once per
+// Cracker, as a real attacker would.
+func (c *Cracker) prepare() {
+	c.cands = Candidates(c.Words)
+	c.weak = make(map[[md5.Size]byte]string, len(c.cands))
+	for _, cand := range c.cands {
+		c.weak[webgen.WeakHashDigest(cand)] = cand
+	}
+}
+
 // Crack processes a dump and returns every credential the attacker
-// recovers. Plaintext and reversible entries are recovered outright;
-// hashed entries fall only to the dictionary.
+// recovers, ordered by (Email, Username). Plaintext and reversible entries
+// are recovered outright; hashed entries fall only to the dictionary.
 func (c *Cracker) Crack(dump []webgen.DumpEntry) []Credential {
-	cands := c.candidates()
+	if len(dump) == 0 {
+		return nil
+	}
+	c.once.Do(c.prepare)
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, len(dump))
 	jobs := make(chan webgen.DumpEntry)
 	results := make(chan Credential)
 	var wg sync.WaitGroup
@@ -63,7 +88,7 @@ func (c *Cracker) Crack(dump []webgen.DumpEntry) []Credential {
 		go func() {
 			defer wg.Done()
 			for e := range jobs {
-				if pw, ok := crackOne(e, cands); ok {
+				if pw, ok := c.crackOne(e); ok {
 					results <- Credential{Username: e.Username, Email: e.Email, Password: pw}
 				}
 			}
@@ -81,20 +106,35 @@ func (c *Cracker) Crack(dump []webgen.DumpEntry) []Credential {
 	for cred := range results {
 		out = append(out, cred)
 	}
-	sortCreds(out)
+	slices.SortFunc(out, func(a, b Credential) int {
+		return cmp.Or(strings.Compare(a.Email, b.Email), strings.Compare(a.Username, b.Username))
+	})
 	return out
 }
 
-// crackOne attempts recovery of a single entry.
-func crackOne(e webgen.DumpEntry, cands []string) (string, bool) {
+// crackOne attempts recovery of a single entry. Hashed entries are compared
+// as raw digests: the stored hex is decoded once per entry, never a
+// candidate encoded per guess.
+func (c *Cracker) crackOne(e webgen.DumpEntry) (string, bool) {
 	switch e.Policy {
 	case webgen.StorePlaintext:
 		return e.Stored, true
 	case webgen.StoreReversible:
 		return webgen.DecodeReversible(e.Stored)
-	case webgen.StoreWeakHash, webgen.StoreStrongHash:
-		for _, cand := range cands {
-			if webgen.EncodePassword(e.Policy, cand, e.Salt) == e.Stored {
+	case webgen.StoreWeakHash:
+		var want [md5.Size]byte
+		if !decodeDigest(want[:], e.Stored) {
+			return "", false
+		}
+		cand, ok := c.weak[want]
+		return cand, ok
+	case webgen.StoreStrongHash:
+		var want [sha256.Size]byte
+		if !decodeDigest(want[:], e.Stored) {
+			return "", false
+		}
+		for _, cand := range c.cands {
+			if webgen.StrongHashDigest(cand, e.Salt) == want {
 				return cand, true
 			}
 		}
@@ -104,24 +144,26 @@ func crackOne(e webgen.DumpEntry, cands []string) (string, bool) {
 	}
 }
 
-// FilterByDomain keeps only credentials whose email is under domain — the
+// decodeDigest decodes the hex digest s into dst, reporting whether s is
+// exactly len(dst) bytes of valid hex.
+func decodeDigest(dst []byte, s string) bool {
+	if len(s) != hex.EncodedLen(len(dst)) {
+		return false
+	}
+	_, err := hex.Decode(dst, []byte(s))
+	return err == nil
+}
+
+// FilterByDomain keeps only dump entries whose email is under domain — the
 // attacker testing "the most sensitive and important credentials", those at
 // a major email provider (paper §1).
-func FilterByDomain(creds []Credential, domain string) []Credential {
-	var out []Credential
+func FilterByDomain(dump []webgen.DumpEntry, domain string) []webgen.DumpEntry {
+	var out []webgen.DumpEntry
 	suffix := "@" + strings.ToLower(domain)
-	for _, c := range creds {
-		if strings.HasSuffix(strings.ToLower(c.Email), suffix) {
-			out = append(out, c)
+	for _, e := range dump {
+		if strings.HasSuffix(strings.ToLower(e.Email), suffix) {
+			out = append(out, e)
 		}
 	}
 	return out
-}
-
-func sortCreds(cs []Credential) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].Email < cs[j-1].Email; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
 }

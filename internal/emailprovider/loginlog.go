@@ -192,7 +192,7 @@ func (r *loginRing) seal() {
 		return blk[a].Account < blk[b].Account
 	})
 	for i := range blk {
-		*r.at(m+i) = blk[i]
+		*r.at(m + i) = blk[i]
 	}
 }
 

@@ -41,8 +41,8 @@ func (p *Pilot) newPilotMetrics(r *obs.Registry) *pilotMetrics {
 		utilization: r.Gauge("tripwire_sim_worker_utilization_percent", "Share of the last phase's worker-time spent crawling."),
 		provisioned: r.Counter("tripwire_sim_identities_provisioned_total", "Honey identities provisioned at the provider."),
 
-		tlEvents:      r.Counter("tripwire_timeline_events_total", "Timeline events executed by the epoch engine."),
-		tlEpochs:      r.Counter("tripwire_timeline_epochs_total", "Timeline epochs executed."),
+		tlEvents: r.Counter("tripwire_timeline_events_total", "Timeline events executed by the epoch engine."),
+		tlEpochs: r.Counter("tripwire_timeline_epochs_total", "Timeline epochs executed."),
 		// Count-shaped buckets: these histograms observe event/partition
 		// counts, not durations (partitions cap at the 64-way key fold).
 		tlWidth:       r.Histogram("tripwire_timeline_epoch_width", "Events per epoch (frontier width).", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),

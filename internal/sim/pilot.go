@@ -68,10 +68,10 @@ type Pilot struct {
 	Disclosure *disclosure.Campaign
 	DNS        *dnssim.Resolver
 
-	gen       *identity.Generator
-	rng       *rand.Rand
-	verifier  *browser.Client // clicks verification links
-	forwarder *smtpForwarder
+	gen        *identity.Generator
+	rng        *rand.Rand
+	verifier   *browser.Client // clicks verification links
+	forwarder  *smtpForwarder
 	institutIP netip.Addr
 	taskSeq    int64 // crawl-task creation counter (see parallel.go)
 	metrics    *pilotMetrics

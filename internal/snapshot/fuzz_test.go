@@ -24,10 +24,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(goodBytes)
 
 	// Truncations at structurally interesting boundaries.
-	f.Add(goodBytes[:4])                  // magic only
-	f.Add(goodBytes[:6])                  // magic + version
-	f.Add(goodBytes[:len(goodBytes)/2])   // mid-section
-	f.Add(goodBytes[:len(goodBytes)-2])   // inside the final CRC
+	f.Add(goodBytes[:4])                        // magic only
+	f.Add(goodBytes[:6])                        // magic + version
+	f.Add(goodBytes[:len(goodBytes)/2])         // mid-section
+	f.Add(goodBytes[:len(goodBytes)-2])         // inside the final CRC
 	f.Add(append(bytes.Clone(goodBytes), 0xee)) // trailing garbage
 
 	// Version skew.

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -56,10 +57,11 @@ func EncodePassword(policy StoragePolicy, pw, salt string) string {
 	case StoreReversible:
 		return hex.EncodeToString(xorKey([]byte(pw), reversibleKey))
 	case StoreWeakHash:
-		sum := md5.Sum([]byte(pw))
+		sum := WeakHashDigest(pw)
 		return hex.EncodeToString(sum[:])
 	case StoreStrongHash:
-		return strongHash(pw, salt)
+		sum := StrongHashDigest(pw, salt)
+		return hex.EncodeToString(sum[:])
 	default:
 		panic(fmt.Sprintf("webgen: unknown storage policy %v", policy))
 	}
@@ -88,13 +90,19 @@ func xorKey(b []byte, key string) []byte {
 // the expected plaintext-vs-hashed cost asymmetry.
 const StrongHashRounds = 128
 
-func strongHash(pw, salt string) string {
-	h := []byte(salt + pw)
-	for i := 0; i < StrongHashRounds; i++ {
-		sum := sha256.Sum256(h)
-		h = sum[:]
+// WeakHashDigest is the raw unsalted MD5 digest StoreWeakHash stores in hex.
+func WeakHashDigest(pw string) [md5.Size]byte { return md5.Sum([]byte(pw)) }
+
+// StrongHashDigest is the raw salted digest StoreStrongHash stores in hex:
+// StrongHashRounds of SHA-256, the first over salt+pw. The input is built in
+// a stack buffer, so a call does not allocate unless salt+pw exceeds it.
+func StrongHashDigest(pw, salt string) [sha256.Size]byte {
+	var buf [128]byte
+	sum := sha256.Sum256(append(append(buf[:0], salt...), pw...))
+	for i := 1; i < StrongHashRounds; i++ {
+		sum = sha256.Sum256(sum[:])
 	}
-	return hex.EncodeToString(h)
+	return sum
 }
 
 // Create adds an account. It fails if the username is taken.
@@ -191,14 +199,6 @@ func (st *Store) Dump() []DumpEntry {
 			Policy:   st.policy,
 		})
 	}
-	sortDump(out)
+	slices.SortFunc(out, func(a, b DumpEntry) int { return strings.Compare(a.Username, b.Username) })
 	return out
-}
-
-func sortDump(d []DumpEntry) {
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && d[j].Username < d[j-1].Username; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
-	}
 }

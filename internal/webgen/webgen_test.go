@@ -97,6 +97,32 @@ func TestPasswordEncodingRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPasswordEncodingGolden pins the stored encodings, so a change to the
+// hashing kernels cannot silently change what a dump contains.
+func TestPasswordEncodingGolden(t *testing.T) {
+	for _, tc := range []struct {
+		policy StoragePolicy
+		salt   string
+		want   string
+	}{
+		{StoreWeakHash, "", "522720903267d84cb7ae0d7fe741bbe0"},
+		{StoreStrongHash, "saltA", "4a339a2d3f13c08296300c4bf99b199164d01dd15fb57bf3030b2867a31bda39"},
+	} {
+		if got := EncodePassword(tc.policy, "Website1", tc.salt); got != tc.want {
+			t.Errorf("%v: EncodePassword = %s, want %s", tc.policy, got, tc.want)
+		}
+	}
+}
+
+func TestStrongHashDigestZeroAlloc(t *testing.T) {
+	pw, salt := "Website1", "s0123456789abcdef"
+	var sink [32]byte
+	if n := testing.AllocsPerRun(100, func() { sink = StrongHashDigest(pw, salt) }); n != 0 {
+		t.Fatalf("StrongHashDigest allocates %v times per call, want 0", n)
+	}
+	_ = sink
+}
+
 func TestStoreCreateLookupCheck(t *testing.T) {
 	now := time.Now()
 	for _, policy := range []StoragePolicy{StorePlaintext, StoreReversible, StoreWeakHash, StoreStrongHash} {
