@@ -4,7 +4,8 @@
 #   make test        the seed tier-1 gate (build + tests)
 #   make race        full suite under the race detector
 #   make ci          what a PR must pass: build, gofmt, vet, race tests, snapshot/
-#                    crawler/epoch-equivalence fuzz corpora as seed tests,
+#                    crawler/epoch-equivalence and IMAP/POP3/SMTP server fuzz
+#                    corpora as seed tests,
 #                    resume byte-identity smoke (workers grid incl. 8,
 #                    under -race), the 16-worker timeline invariance smoke
 #                    (under -race), the 1M-account
@@ -14,8 +15,10 @@
 #                    delivery, under -race), the distributed-sweep smoke
 #                    (coordinator + two in-process workers over loopback
 #                    HTTP, byte-identity incl. a worker killed mid-seed,
-#                    under -race), bench smoke, and the
-#                    overhead/alloc/heap gates
+#                    under -race), bench smoke, the
+#                    overhead/alloc/heap gates, and the whole-study
+#                    benchmark's own tests (perfbench: recipe smoke through
+#                    the correctness gate, recorded digests, profile sums)
 #   make bench       parallel crawl engine benchmark (1/4/8/16 workers, plus
 #                    the lazy 10k-universe variant)
 #   make bench-json  run the hot-path benchmarks and write BENCH_crawl.json
@@ -71,7 +74,7 @@ race:
 ci: build fmt-check metrics-doc-check
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/
+	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/ ./internal/imap/ ./internal/pop3/ ./internal/mailserv/
 	$(GO) test -race -run 'TestResumeByteIdentical|TestStudyCheckpointResume' ./internal/sim/ .
 	$(GO) test -race -run 'TestTimelineWorkerInvariance/workers=16' ./internal/sim/
 	$(GO) test -race -short -run 'TestLazyMillionAccountSmoke|TestIncrementalCheckpointEquivalence' ./internal/sim/
@@ -81,6 +84,7 @@ ci: build fmt-check metrics-doc-check
 	$(GO) test -run xxx -bench 'BenchmarkParallelCrawl$$/workers=8' -benchtime 1x ./internal/sim/
 	$(MAKE) bench-overhead
 	$(MAKE) bench-compare
+	cd perfbench && $(GO) test ./...
 
 # gofmt must list no source file: any output fails the check.
 fmt-check:

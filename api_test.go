@@ -36,11 +36,11 @@ func TestOptionsOverrideConfigRegardlessOfOrder(t *testing.T) {
 	}
 }
 
-func TestNewStudyMatchesNewWithConfig(t *testing.T) {
-	a := tripwire.NewStudy(tripwire.SmallConfig()).Pilot().Cfg
-	b := tripwire.New(tripwire.WithConfig(tripwire.SmallConfig())).Pilot().Cfg
-	if a.Seed != b.Seed || a.Web.NumSites != b.Web.NumSites || len(a.Batches) != len(b.Batches) {
-		t.Fatalf("NewStudy and New(WithConfig) disagree: %+v vs %+v", a, b)
+func TestNewWithConfigUsesConfig(t *testing.T) {
+	want := tripwire.SmallConfig()
+	got := tripwire.New(tripwire.WithConfig(want)).Pilot().Cfg
+	if got.Seed != want.Seed || got.Web.NumSites != want.Web.NumSites || len(got.Batches) != len(want.Batches) {
+		t.Fatalf("New(WithConfig) built %+v, want %+v", got, want)
 	}
 }
 

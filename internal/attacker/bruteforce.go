@@ -35,7 +35,7 @@ func (bf *BruteForcer) HarvestUsernames(host string) []string {
 		return nil
 	}
 	var users []string
-	page.DOM.Walk(func(n *htmldom.Node) bool {
+	page.DOM().Walk(func(n *htmldom.Node) bool {
 		if n.Tag == "li" && strings.Contains(n.AttrOr("class", ""), "member") {
 			if u := n.Text(); u != "" {
 				users = append(users, u)
@@ -96,7 +96,7 @@ func (bf *BruteForcer) guessAccount(host, user string, cands []string) (Credenti
 // scrapeEmail pulls the address off the account overview page.
 func scrapeEmail(page *browser.Page) string {
 	var email string
-	page.DOM.Walk(func(n *htmldom.Node) bool {
+	page.DOM().Walk(func(n *htmldom.Node) bool {
 		if n.Tag == "p" && strings.Contains(n.AttrOr("class", ""), "account-email") {
 			text := n.Text()
 			for _, f := range strings.Fields(text) {

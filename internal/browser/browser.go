@@ -17,12 +17,21 @@ import (
 	"tripwire/internal/htmldom"
 )
 
-// Page is one fetched and parsed document.
+// Page is one fetched document. A Page belongs to one goroutine: its DOM
+// is parsed from Raw on the first DOM, Forms or Links call and kept.
 type Page struct {
 	URL        *url.URL // final URL after redirects
 	StatusCode int
 	Raw        string
-	DOM        *htmldom.Node
+	dom        *htmldom.Node
+}
+
+// DOM returns the parsed document.
+func (p *Page) DOM() *htmldom.Node {
+	if p.dom == nil {
+		p.dom = htmldom.Parse(p.Raw)
+	}
+	return p.dom
 }
 
 // Link is an anchor on a page with its resolved destination.
@@ -40,8 +49,6 @@ type Client struct {
 	UserAgent string
 	// MaxBodyBytes caps how much of a response body is read.
 	MaxBodyBytes int64
-	// pageLoads counts fetches, for rate-limit accounting by the caller.
-	pageLoads int
 	// uaValue is the cached one-element header value for UserAgent, shared
 	// read-only across this session's requests.
 	uaValue []string
@@ -73,10 +80,7 @@ func New(opts ...Option) *Client {
 	return c
 }
 
-// PageLoads returns the number of HTTP fetches performed so far.
-func (c *Client) PageLoads() int { return c.pageLoads }
-
-// Get fetches and parses the page at rawURL.
+// Get fetches the page at rawURL.
 func (c *Client) Get(rawURL string) (*Page, error) {
 	req, err := http.NewRequest(http.MethodGet, rawURL, nil)
 	if err != nil {
@@ -117,7 +121,6 @@ func (c *Client) do(req *http.Request) (*Page, error) {
 		c.uaValue = []string{c.UserAgent}
 	}
 	req.Header["User-Agent"] = c.uaValue
-	c.pageLoads++
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("browser: fetch %s: %w", req.URL, err)
@@ -131,7 +134,6 @@ func (c *Client) do(req *http.Request) (*Page, error) {
 		URL:        resp.Request.URL,
 		StatusCode: resp.StatusCode,
 		Raw:        raw,
-		DOM:        htmldom.Parse(raw),
 	}, nil
 }
 
@@ -156,7 +158,7 @@ func readBody(resp *http.Response, limit int64) (string, error) {
 // Links returns every anchor on the page with a resolvable href.
 func (p *Page) Links() []Link {
 	var out []Link
-	for _, a := range p.DOM.ElementsByTag("a") {
+	for _, a := range p.DOM().ElementsByTag("a") {
 		href, ok := a.Attr("href")
 		if !ok || href == "" || strings.HasPrefix(href, "javascript:") || strings.HasPrefix(href, "#") {
 			continue
@@ -168,14 +170,6 @@ func (p *Page) Links() []Link {
 		out = append(out, Link{URL: u, Text: a.Text(), Node: a})
 	}
 	return out
-}
-
-// Title returns the page's <title> text.
-func (p *Page) Title() string {
-	if t := p.DOM.First(func(n *htmldom.Node) bool { return n.Tag == "title" }); t != nil {
-		return t.Text()
-	}
-	return ""
 }
 
 // OK reports whether the page loaded with a 2xx status.

@@ -6,6 +6,8 @@ import (
 	"net/netip"
 	"strings"
 	"testing"
+
+	"tripwire/internal/htmldom"
 )
 
 // testHandler serves a small site for browser tests.
@@ -59,16 +61,52 @@ func testClient() *Client {
 }
 
 func TestGetAndTitle(t *testing.T) {
-	c := testClient()
-	p, err := c.Get("http://site.test/")
+	p, err := testClient().Get("http://site.test/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.OK() || p.Title() != "Test Site" {
-		t.Fatalf("status=%d title=%q", p.StatusCode, p.Title())
+	title := p.DOM().First(func(n *htmldom.Node) bool { return n.Tag == "title" })
+	if !p.OK() || title == nil || title.Text() != "Test Site" {
+		t.Fatalf("status=%d title=%v", p.StatusCode, title)
 	}
-	if c.PageLoads() != 1 {
-		t.Fatalf("PageLoads = %d", c.PageLoads())
+}
+
+func TestDOMParsedOnceAndKept(t *testing.T) {
+	p, err := testClient().Get("http://site.test/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := p.DOM()
+	if root == nil || p.DOM() != root {
+		t.Fatal("DOM() did not return the same root on a repeated call")
+	}
+	if len(p.Links()) == 0 || p.DOM() != root {
+		t.Fatal("Links() replaced the parsed tree")
+	}
+}
+
+// TestFetchWithoutDOMDoesNotParse pins the lazy parse with a budget in the
+// style of htmldom's alloc tests: fetching a page of 200 list items whose
+// DOM is never read costs only the round trip's allocations. The budget is
+// the measured count (18, or 20 under -race, where sync.Pool drops items)
+// plus slack; parsing the page adds hundreds.
+func TestFetchWithoutDOMDoesNotParse(t *testing.T) {
+	const budget = 24
+	page := "<html><body><ul>" + strings.Repeat(`<li class="m"><a href="/u">user</a></li>`, 200) + "</ul></body></html>"
+	c := New(WithTransport(&HandlerTransport{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", fmt.Sprint(len(page)))
+		fmt.Fprint(w, page)
+	})}))
+	fetch := testing.AllocsPerRun(50, func() { c.Get("http://site.test/big") })
+	parse := testing.AllocsPerRun(50, func() {
+		p, _ := c.Get("http://site.test/big")
+		p.DOM()
+	})
+	if fetch > budget {
+		t.Errorf("Get without DOM() = %.1f allocs/op, budget %d", fetch, budget)
+	}
+	if parse <= 2*budget {
+		t.Errorf("Get then DOM() = %.1f allocs/op: the page is too small to tell a parse from none", parse)
 	}
 }
 

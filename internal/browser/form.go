@@ -42,7 +42,7 @@ type Form struct {
 // in the same container.
 func (p *Page) Forms() []*Form {
 	var out []*Form
-	for _, f := range p.DOM.ElementsByTag("form") {
+	for _, f := range p.DOM().ElementsByTag("form") {
 		form := &Form{Node: f, Method: strings.ToUpper(f.AttrOr("method", "GET"))}
 		if form.Method != "POST" {
 			form.Method = "GET"

@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -406,7 +407,7 @@ func (l *Ledger) SiteRegistrations(domain string) []*Registration {
 	return out
 }
 
-// Registrations returns every burned registration.
+// Registrations returns every burned registration, in a stable email order.
 func (l *Ledger) Registrations() []*Registration {
 	var out []*Registration
 	for i := range l.shards {
@@ -417,6 +418,7 @@ func (l *Ledger) Registrations() []*Registration {
 		}
 		sh.mu.Unlock()
 	}
+	slices.SortFunc(out, func(a, b *Registration) int { return strings.Compare(a.Identity.Email, b.Identity.Email) })
 	return out
 }
 

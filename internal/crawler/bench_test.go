@@ -2,10 +2,10 @@ package crawler
 
 import (
 	"net/url"
+	"strings"
 	"testing"
 
 	"tripwire/internal/browser"
-	"tripwire/internal/htmldom"
 )
 
 // benchRegPage is a registration page shaped like webgen output, used to
@@ -35,7 +35,7 @@ func benchPage(b *testing.B) *browser.Page {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return &browser.Page{URL: u, StatusCode: 200, Raw: benchRegPage, DOM: htmldom.Parse(benchRegPage)}
+	return &browser.Page{URL: u, StatusCode: 200, Raw: benchRegPage}
 }
 
 // BenchmarkClassify measures the steady-state per-page classification cost:
@@ -47,14 +47,14 @@ func BenchmarkClassify(b *testing.B) {
 	if len(forms) != 1 {
 		b.Fatalf("got %d forms", len(forms))
 	}
-	text := page.DOM.Text()
+	lower := strings.ToLower(page.DOM().Text())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range forms[0].Fields {
 			ClassifyField(&forms[0].Fields[j])
 		}
-		FormScore(forms[0], text)
+		FormScore(forms[0], func() string { return lower })
 	}
 }
 
@@ -63,7 +63,7 @@ func BenchmarkClassify(b *testing.B) {
 // the cost profile of a page seen for the first time.
 func BenchmarkClassifyCold(b *testing.B) {
 	page := benchPage(b)
-	text := page.DOM.Text()
+	lower := strings.ToLower(page.DOM().Text())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -71,6 +71,6 @@ func BenchmarkClassifyCold(b *testing.B) {
 		for j := range forms[0].Fields {
 			ClassifyField(&forms[0].Fields[j])
 		}
-		FormScore(forms[0], text)
+		FormScore(forms[0], func() string { return lower })
 	}
 }

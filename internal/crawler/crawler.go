@@ -261,7 +261,7 @@ func (c *Crawler) registerWith(env *Env, b *browser.Client, siteURL string, id *
 		res.Detail = "submission request failed"
 		return res
 	}
-	if c.looksLikeSuccess(resp.DOM.Text()) {
+	if c.looksLikeSuccess(resp.DOM().Text()) {
 		res.Code = CodeOKSubmission
 		return res
 	}
@@ -341,7 +341,7 @@ func (c *Crawler) continueMultiStage(env *Env, b *browser.Client, resp *browser.
 			res.Detail = "multi-stage continuation failed to submit"
 			return true
 		}
-		if c.looksLikeSuccess(final.DOM.Text()) {
+		if c.looksLikeSuccess(final.DOM().Text()) {
 			res.Code = CodeOKSubmission
 			res.Detail = "completed a multi-stage registration"
 			return true
@@ -445,10 +445,15 @@ func (c *Crawler) looksLikeSuccess(pageText string) bool {
 func bestForm(p *browser.Page) *browser.Form {
 	var best *browser.Form
 	bestScore := 0.0
-	// Lower once: FormScore's internal ToLower is then a no-op scan.
-	text := strings.ToLower(p.DOM.Text())
+	var text string // lowered once, only if some form has a password field
+	lowerText := func() string {
+		if text == "" {
+			text = strings.ToLower(p.DOM().Text())
+		}
+		return text
+	}
 	for _, f := range p.Forms() {
-		if s := FormScore(f, text); s > bestScore {
+		if s := FormScore(f, lowerText); s > bestScore {
 			best, bestScore = f, s
 		}
 	}
@@ -537,12 +542,12 @@ func (c *Crawler) solveCaptcha(env *Env, b *browser.Client, p *browser.Page, fld
 	if solver == nil {
 		return "", false
 	}
-	if p.DOM.First(func(n *htmldom.Node) bool {
+	if p.DOM().First(func(n *htmldom.Node) bool {
 		return n.Tag == "div" && strings.Contains(n.AttrOr("class", ""), "g-recaptcha")
 	}) != nil {
 		return "", false
 	}
-	img := p.DOM.First(func(n *htmldom.Node) bool {
+	img := p.DOM().First(func(n *htmldom.Node) bool {
 		return n.Tag == "img" && strings.Contains(n.AttrOr("src", ""), "captcha")
 	})
 	if img != nil {

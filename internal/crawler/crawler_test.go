@@ -217,6 +217,42 @@ func TestRegisterAvoidsLoginForm(t *testing.T) {
 	}
 }
 
+// TestBestFormIgnoresDecoys scores a page holding a login form and a
+// registration form with and without webgen-style password-less decoys (a
+// search box and a newsletter signup) around them: the decoys add page
+// text but no candidate, so the same registration form wins either way,
+// and a page of decoys alone has no registration form.
+func TestBestFormIgnoresDecoys(t *testing.T) {
+	const (
+		search     = `<form action="/search" method="get"><input type="text" name="q"><input type="submit" value="Search"></form>`
+		newsletter = `<div id="sidebar"><form action="/newsletter" method="post"><input type="text" name="nl_email" placeholder="you@example.com"><input type="submit" value="OK"></form></div>`
+		login      = `<form action="/login" method="post"><p><label>Username</label><input type="text" name="user"></p><p><label>Password</label><input type="password" name="pass"></p></form>`
+		register   = `<h2>Create your account</h2><form action="/register" method="post">
+			<p><label for="em">Email</label><input type="text" name="em" id="em"></p>
+			<p><label for="pw">Password</label><input type="password" name="pw" id="pw"></p>
+			<p><label for="pw2">Confirm password</label><input type="password" name="pw2" id="pw2"></p>
+			<input type="submit" value="Sign up"></form>`
+	)
+	u, err := url.Parse("http://decoys.test/join")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pick := func(body string) *browser.Form {
+		return bestForm(&browser.Page{URL: u, StatusCode: 200, Raw: "<html><body>" + body + "</body></html>"})
+	}
+	plain := pick(login + register)
+	decoyed := pick(search + login + register + newsletter)
+	if plain == nil || decoyed == nil {
+		t.Fatalf("no registration form found: plain=%v decoyed=%v", plain, decoyed)
+	}
+	if plain.Action.String() != "http://decoys.test/register" || decoyed.Action.String() != plain.Action.String() {
+		t.Fatalf("picked %s without decoys and %s with them, want /register both times", plain.Action, decoyed.Action)
+	}
+	if f := pick(search + newsletter); f != nil {
+		t.Fatalf("decoy-only page yielded a registration form: %s", f.Action)
+	}
+}
+
 func TestFaultInjection(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FaultRate = 1.0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -146,7 +147,7 @@ func FuzzFieldHeuristics(f *testing.F) {
 					t.Fatalf("parsed-field classification flapped: %v then %v", m, m2)
 				}
 			}
-			_ = FormScore(form, page.Raw)
+			_ = FormScore(form, func() string { return strings.ToLower(page.Raw) })
 		}
 		for _, l := range page.Links() {
 			_ = ScoreRegistrationLink(l)

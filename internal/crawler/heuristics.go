@@ -444,8 +444,9 @@ func looksLikeSuccessLower(lower string) bool {
 // FormScore rates how much a form looks like a registration form. Forms
 // without a password field score zero; email evidence, confirm-password,
 // and surrounding page text all add weight; login-shaped forms (password +
-// a single identifier, few fields) are penalized.
-func FormScore(f *browser.Form, pageText string) float64 {
+// a single identifier, few fields) are penalized. lowerText returns the
+// lowercased page text; it is called only for a form with a password field.
+func FormScore(f *browser.Form, lowerText func() string) float64 {
 	var hasPassword, hasConfirm, hasEmailish bool
 	fillable := 0
 	for i := range f.Fields {
@@ -478,7 +479,7 @@ func FormScore(f *browser.Form, pageText string) float64 {
 	if fillable <= 2 && !hasEmailish {
 		s -= 3.0 // login-shaped
 	}
-	lower := strings.ToLower(pageText)
+	lower := lowerText()
 	s += 0.5 * score(regPageTextRules, lower)
 	if strings.Contains(lower, "log in") || strings.Contains(lower, "login") {
 		s -= 0.5

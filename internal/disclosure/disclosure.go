@@ -108,7 +108,7 @@ func (c *Campaign) DiscoverAddresses(domain string) []string {
 	}
 	// 1. The site's own contact page (a real fetch and DOM walk).
 	if page, err := c.Browser.Get("http://" + domain + "/contact"); err == nil && page.OK() {
-		page.DOM.Walk(func(n *htmldom.Node) bool {
+		page.DOM().Walk(func(n *htmldom.Node) bool {
 			if n.Tag == "a" {
 				if href, ok := n.Attr("href"); ok {
 					if addr, found := strings.CutPrefix(href, "mailto:"); found {

@@ -152,6 +152,10 @@ func (e *End) Close() error {
 	return nil
 }
 
+// CloseWrite half-closes this end, as in TCP: the peer drains what was
+// written, then reads io.EOF, and may still write back.
+func (e *End) CloseWrite() error { e.write.closeWrite(); return nil }
+
 // LocalAddr implements net.Conn.
 func (e *End) LocalAddr() net.Addr { return addr{} }
 

@@ -64,6 +64,32 @@ func TestDrainThenEOF(t *testing.T) {
 	}
 }
 
+// TestCloseWriteHalfCloses pins the half-close the protocol fuzz targets
+// feed servers with: the peer drains the bytes, then reads io.EOF, and
+// can still write back to the half-closed end.
+func TestCloseWriteHalfCloses(t *testing.T) {
+	p := NewPair()
+	c, s := p.Client(), p.Server()
+	if _, err := c.Write([]byte("cmd")); err != nil {
+		t.Fatal(err)
+	}
+	c.(*End).CloseWrite()
+	got, err := io.ReadAll(s)
+	if err != nil || string(got) != "cmd" {
+		t.Fatalf("server drained %q, %v; want %q then EOF", got, err, "cmd")
+	}
+	if _, err := s.Write([]byte("ok")); err != nil {
+		t.Fatalf("reply to half-closed client: %v", err)
+	}
+	if _, err := c.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("write after CloseWrite: %v, want ErrClosedPipe", err)
+	}
+	buf := make([]byte, 2)
+	if n, err := c.Read(buf); err != nil || string(buf[:n]) != "ok" {
+		t.Fatalf("client read = %q, %v", buf[:n], err)
+	}
+}
+
 func TestCloseUnblocksReader(t *testing.T) {
 	p := NewPair()
 	c := p.Client()

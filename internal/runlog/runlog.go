@@ -131,16 +131,13 @@ func Write(dir string, p *sim.Pilot, summary string) (Manifest, error) {
 	}
 
 	// Registrations with ground-truth validity.
-	valid := make(map[string]bool)
-	for _, v := range p.ValidateAll() {
-		valid[v.Registration.Identity.Email] = v.Valid
-	}
 	regs := make([]RegistrationRecord, 0)
-	for _, r := range p.Ledger.Registrations() {
+	for _, v := range p.ValidateAll() {
+		r := v.Registration
 		regs = append(regs, RegistrationRecord{
 			Domain: r.Domain, Rank: r.Rank, Category: r.Category,
 			Class: r.Identity.Class.String(), Status: r.Status.String(),
-			Manual: r.Manual, When: r.When, Valid: valid[r.Identity.Email],
+			Manual: r.Manual, When: r.When, Valid: v.Valid,
 		})
 	}
 	if err := writeJSON(filepath.Join(dir, "registrations.json"), regs); err != nil {

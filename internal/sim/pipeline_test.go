@@ -98,6 +98,37 @@ func TestValidationMatchesStores(t *testing.T) {
 	}
 }
 
+// TestValidateAllWorkerInvariant pins the parallel validation pass: at 1
+// and 8 workers it returns the same (Registration, Valid) sequence in
+// ledger order, and a repeated pass agrees with the first, because a probe
+// only moves its own account's failed-login streak and a success clears it.
+func TestValidateAllWorkerInvariant(t *testing.T) {
+	p := pilot(t)
+	saved := p.Cfg.CrawlWorkers
+	defer func() { p.Cfg.CrawlWorkers = saved }()
+	run := func(workers int) []Validation {
+		p.Cfg.CrawlWorkers = workers
+		return p.ValidateAll()
+	}
+	serial := run(1)
+	regs := p.Ledger.Registrations()
+	if len(serial) != len(regs) || len(serial) == 0 {
+		t.Fatalf("validated %d of %d registrations", len(serial), len(regs))
+	}
+	for i, v := range serial {
+		if v.Registration != regs[i] {
+			t.Fatalf("validation %d is not in ledger order", i)
+		}
+	}
+	for pass, got := range [][]Validation{run(8), run(8), run(1)} {
+		for i := range serial {
+			if got[i] != serial[i] {
+				t.Fatalf("pass %d: validation %d = %+v, want %+v", pass+2, i, got[i], serial[i])
+			}
+		}
+	}
+}
+
 // TestUnusedAccountsDwarfUsed verifies the §4.4 monitoring population: far
 // more provisioned accounts stay unused than are ever burned.
 func TestUnusedAccountsDwarfUsed(t *testing.T) {

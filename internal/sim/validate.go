@@ -18,16 +18,19 @@ type Validation struct {
 }
 
 // ValidateAll probes every burned registration over HTTP and returns the
-// outcomes. Probes use a fresh browser session and the site's public login
-// form; sites that require email verification before login reject accounts
-// whose verification link was never clicked, exactly as live sites did.
+// outcomes in ledger order. Probes use the site's public login form; sites
+// that require email verification before login reject accounts whose
+// verification link was never clicked, exactly as live sites did. Probes
+// run on the crawl worker pool, one browser session each. A probe moves
+// only its own account's failed-login streak, so the outcomes depend on
+// neither the worker count nor earlier passes.
 func (p *Pilot) ValidateAll() []Validation {
-	b := browser.New(browser.WithTransport(&browser.HandlerTransport{Handler: p.Universe}))
 	regs := p.Ledger.Registrations()
-	out := make([]Validation, 0, len(regs))
-	for _, reg := range regs {
-		out = append(out, Validation{Registration: reg, Valid: p.probeLogin(b, reg)})
-	}
+	out := make([]Validation, len(regs))
+	runSharded(p.workers(), len(regs), func(i int) {
+		b := browser.New(browser.WithTransport(&browser.HandlerTransport{Handler: p.Universe}))
+		out[i] = Validation{Registration: regs[i], Valid: p.probeLogin(b, regs[i])}
+	})
 	return out
 }
 

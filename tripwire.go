@@ -268,13 +268,6 @@ func New(opts ...Option) *Study {
 	return s
 }
 
-// NewStudy builds a study from an explicit configuration. Every caller in
-// the tree has been migrated to New; this wrapper remains only so external
-// plain-config callers keep compiling.
-//
-// Deprecated: use New(WithConfig(cfg)).
-func NewStudy(cfg Config) *Study { return New(WithConfig(cfg)) }
-
 // Resume rebuilds a study from a checkpoint written by a run configured
 // with WithCheckpoint (or Config.CheckpointEvery/CheckpointDir) and
 // prepares it to continue to the configured end date.
@@ -396,8 +389,9 @@ func (s *Study) Summary() string {
 		return b.String()
 	}
 	p := s.pilot
+	vals := p.ValidateAll()
 	b.WriteString("\n== Table 1: Estimates of accounts created by account status ==\n")
-	b.WriteString(report.RenderTable1(report.Table1(p)))
+	b.WriteString(report.RenderTable1(report.Table1(vals)))
 	b.WriteString("\n== Table 2: Sites with detected login activity ==\n")
 	b.WriteString(report.RenderTable2(report.Table2(p)))
 	b.WriteString("\n== Table 3: Login activity for compromised accounts ==\n")
@@ -409,7 +403,7 @@ func (s *Study) Summary() string {
 	b.WriteString("\n== Figure 2: Registration and login timeline ==\n")
 	b.WriteString(report.Fig2(p))
 	b.WriteString("\n== Figure 3: Registration funnel ==\n")
-	b.WriteString(report.RenderFig3(report.Fig3(p)))
+	b.WriteString(report.RenderFig3(report.Fig3(p, vals)))
 	b.WriteString("\n== Section 6.2: Undetected compromises ==\n")
 	b.WriteString(report.RenderMisses(report.MissAnalysis(p)))
 	b.WriteString("\n== Section 6.3: Disclosure ==\n")
